@@ -1,9 +1,9 @@
 GO ?= go
 
-# Packages whose statement coverage is gated in CI (the observability layer
-# and the two subsystems its health signals come from), and the floor they
-# must clear.
-COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place
+# Packages whose statement coverage is gated in CI (the observability layer,
+# the subsystems its health signals come from, and the owner-facing
+# gateway/session layer), and the floor they must clear.
+COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote
 COVER_FLOOR = 75
 
 .PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant clean
@@ -31,10 +31,11 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
-# (scheduler, core job path) under the race detector.
+# (scheduler, core job path, owner sessions and gateways) under the race
+# detector.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
-	$(GO) test -race ./internal/sched ./internal/core
+	$(GO) test -race ./internal/sched ./internal/core ./internal/remote
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -1,17 +1,13 @@
 // Command salus-client is the data owner's side of a networked deployment:
-// it loads the expectations published for a cloud instance, attests the
-// whole heterogeneous platform with one cascaded-attestation round trip
-// over TCP, provisions a data key, and offloads an encrypted job.
-//
-// When the expectations file holds a JSON array (written by salus-server
-// -devices N), the client switches to cluster mode: it attests every device
-// in the pool, provisions one shared data key, and fans -jobs sealed jobs
-// out concurrently over a single multiplexed connection — polling the
-// pool's per-device stats on that same connection while the jobs run.
+// it loads the expectations salus-server (or salus-lb) published — a JSON
+// array, one entry per device — attests every device behind the gateway
+// with one cascaded-attestation round trip over TCP, provisions one shared
+// data key, and fans -jobs sealed jobs out concurrently over a single
+// multiplexed connection, polling the pool's per-device stats on that same
+// connection while the jobs run.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,14 +34,14 @@ func main() {
 		runTop(os.Args[2:])
 		return
 	}
-	instAddr := flag.String("inst", "127.0.0.1:7002", "instance / cluster gateway address")
+	instAddr := flag.String("inst", "127.0.0.1:7002", "gateway address")
 	expPath := flag.String("exp", "salus-expectations.json", "expectations file from salus-server")
-	kernel := flag.String("kernel", "Conv", "kernel the instance deployed")
-	jobs := flag.Int("jobs", 8, "cluster mode: number of sealed jobs")
-	batch := flag.Bool("batch", false, "cluster mode: submit all -jobs in one batched RPC frame instead of one call per job")
-	tenant := flag.String("tenant", "", "cluster mode: tenant name for gateway rate limiting")
-	class := flag.String("class", "", "cluster mode: priority class (batch, standard, critical)")
-	deadline := flag.Duration("deadline", 0, "cluster mode: per-job deadline; expired jobs are shed, never run late (0 disables)")
+	kernel := flag.String("kernel", "Conv", "kernel the gateway deployed")
+	jobs := flag.Int("jobs", 8, "number of sealed jobs")
+	batch := flag.Bool("batch", false, "submit all -jobs in one batched RPC frame instead of one call per job")
+	tenant := flag.String("tenant", "", "tenant name for gateway rate limiting")
+	class := flag.String("class", "", "priority class (batch, standard, critical)")
+	deadline := flag.Duration("deadline", 0, "per-job deadline; expired jobs are shed, never run late (0 disables)")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*expPath)
@@ -61,42 +57,7 @@ func main() {
 		qos = &remote.QoS{Tenant: *tenant, Class: c, Deadline: *deadline}
 	}
 
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte("[")) {
-		runCluster(raw, *instAddr, *kernel, *jobs, *batch, qos)
-		return
-	}
-	if qos != nil {
-		log.Fatal("-tenant/-class/-deadline need a cluster gateway (salus-server -devices N)")
-	}
-
-	var exp client.Expectations
-	if err := json.Unmarshal(raw, &exp); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("expecting: user enclave %s, SM enclave %s, CL digest %x..., device %s\n",
-		exp.UserEnclave, exp.SMEnclave, exp.Digest[:8], exp.DNA)
-
-	sess, err := remote.DialInstance(*instAddr, exp)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sess.Close()
-
-	if err := sess.Attest(); err != nil {
-		log.Fatalf("platform NOT trusted: %v", err)
-	}
-	fmt.Println("platform attested in one round trip; data key provisioned")
-
-	w, ok := salus.TestWorkload(*kernel, 7)
-	if !ok {
-		log.Fatalf("unknown kernel %q", *kernel)
-	}
-	out, err := sess.RunJob(*kernel, w.Params, w.Input)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("offloaded %s: %d input bytes -> %d output bytes (sealed both ways)\n",
-		*kernel, len(w.Input), len(out))
+	runCluster(raw, *instAddr, *kernel, *jobs, *batch, qos)
 }
 
 // runFleet is the elastic-operations subcommand: scale the pool up or
@@ -176,14 +137,17 @@ func salusClass(name string) (sched.Class, bool) {
 	return sched.ClassByName(name)
 }
 
-// runCluster attests a device pool and drives sealed jobs plus live stats
-// over one shared connection — concurrently one call per job, or (with
+// runCluster attests a device pool (one board or many) and drives sealed
+// jobs plus live stats over one shared connection — concurrently one call per job, or (with
 // -batch) as a single batched RPC frame riding the cluster's batched
 // secure data path.
 func runCluster(raw []byte, addr, kernel string, jobs int, batch bool, qos *remote.QoS) {
 	var exps []client.Expectations
 	if err := json.Unmarshal(raw, &exps); err != nil {
-		log.Fatal(err)
+		log.Fatalf("expectations file must hold a JSON array: %v", err)
+	}
+	if len(exps) == 0 {
+		log.Fatal("expectations file lists no devices")
 	}
 	fmt.Printf("expecting a pool of %d devices, CL digest %x...\n", len(exps), exps[0].Digest[:8])
 

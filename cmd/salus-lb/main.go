@@ -6,10 +6,11 @@
 // data-key hand-off.
 //
 // The data owner attests ONLY the root shard — salus-lb writes the root's
-// expectations to -exp, and cmd/salus-client's fleet/top subcommands work
-// against the front tier unchanged. Every other shard in the region is
-// keyed lazily by the sibling hand-off the first time the ring routes it
-// work: O(1) owner attestation cost per region, not per shard.
+// expectations to -exp, and cmd/salus-client (attest and run sealed jobs)
+// and its fleet/top subcommands work against the front tier unchanged.
+// Every other shard in the region is keyed lazily by the sibling hand-off
+// the first time the ring routes it work: O(1) owner attestation cost per
+// region, not per shard.
 package main
 
 import (

@@ -1,9 +1,10 @@
 // Remote owner: the full networked topology of §6.1 as a library user sees
-// it — manufacturer key service and instance gateway on TCP sockets, a data
+// it — manufacturer key service and cloud gateway on TCP sockets, a data
 // owner session that attests the platform across the wire in one cascaded
-// round trip, and sealed job traffic end to end. Everything runs in one
-// process on loopback; the byte flows are identical to a real split
-// deployment.
+// round trip, and sealed job traffic end to end. The instance is a
+// one-device cluster: the same gateway and owner session serve one board
+// or a pool. Everything runs in one process on loopback; the byte flows
+// are identical to a real split deployment.
 package main
 
 import (
@@ -12,9 +13,11 @@ import (
 	"log"
 
 	"salus"
+	"salus/internal/client"
 	"salus/internal/core"
 	"salus/internal/manufacturer"
 	"salus/internal/remote"
+	"salus/internal/sched"
 )
 
 func main() {
@@ -34,7 +37,8 @@ func main() {
 	fmt.Println("manufacturer service on", mfrAddr)
 
 	// Cloud domain: the instance's SM enclave reaches the manufacturer
-	// over TCP; the instance gateway takes the data owner's calls.
+	// over TCP; the gateway takes the data owner's calls and, once the
+	// owner has provisioned the board, hands its jobs to the scheduler.
 	keyClient, err := remote.DialManufacturer(mfrAddr)
 	if err != nil {
 		log.Fatal(err)
@@ -49,15 +53,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	instSrv, instAddr, err := remote.ServeInstance(sys, "127.0.0.1:0")
+	sch := sched.New(sched.Config{})
+	defer sch.Close()
+	gwSrv, gwAddr, err := remote.ServeCluster([]*core.System{sys}, sch, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer instSrv.Close()
-	fmt.Println("instance gateway on   ", instAddr)
+	defer gwSrv.Close()
+	fmt.Println("cloud gateway on      ", gwAddr)
 
-	// Owner domain: attest across the network, then offload.
-	sess, err := remote.DialInstance(instAddr, sys.Expectations())
+	// Owner domain: attest across the network, then offload. The owner
+	// pins the expectations published for each device behind the gateway.
+	sess, err := remote.DialCluster(gwAddr, []client.Expectations{sys.Expectations()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -122,6 +122,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Remove drops the named metric (counter, gauge, or histogram) from the
+// registry, so it no longer appears in snapshots. Handles already handed
+// out stay valid but record into a detached metric; a later lookup of the
+// same name creates a fresh one. Series named after a transient entity (a
+// board, a partition) are released this way when the entity goes, which
+// keeps snapshots bounded under churn.
+func (r *Registry) Remove(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.counters, name)
+	delete(r.gauges, name)
+	delete(r.histograms, name)
+}
+
 // Reset zeroes every registered metric in place. Handles cached by
 // instrumented packages remain valid and keep recording into the same
 // metrics; only the accumulated values are dropped. Benchmarks use this to

@@ -30,6 +30,25 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestRemoveDetachesSeries(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("salus_test_rp_depth")
+	r.Counter("salus_test_kept").Inc()
+	g.Set(3)
+	r.Remove("salus_test_rp_depth")
+	snap := r.Snapshot()
+	if _, ok := snap.Gauges["salus_test_rp_depth"]; ok {
+		t.Fatal("removed gauge still in snapshot")
+	}
+	if snap.Counters["salus_test_kept"] != 1 {
+		t.Fatal("Remove dropped an unrelated series")
+	}
+	g.Add(-3) // a late record through a stale handle is harmless
+	if fresh := r.Gauge("salus_test_rp_depth"); fresh == g || fresh.Value() != 0 {
+		t.Fatal("lookup after Remove did not create a fresh gauge")
+	}
+}
+
 func TestDisabledRegistryRecordsNothing(t *testing.T) {
 	r := NewRegistry()
 	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")

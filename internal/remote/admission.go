@@ -127,7 +127,7 @@ func (a *Admission) Admit(tenant string, class sched.Class, cost int) error {
 	return nil
 }
 
-// GatewayOption configures ServeCluster/ServeFleet.
+// GatewayOption configures ServeCluster/ServeFleet/ServeFederation.
 type GatewayOption func(*gatewayOptions)
 
 type gatewayOptions struct {
@@ -138,4 +138,14 @@ type gatewayOptions struct {
 // it reaches the scheduler.
 func WithAdmission(adm *Admission) GatewayOption {
 	return func(o *gatewayOptions) { o.admission = adm }
+}
+
+// gatewayAdmission applies opts and returns the configured admission
+// screen, nil when none.
+func gatewayAdmission(opts []GatewayOption) *Admission {
+	var o gatewayOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o.admission
 }

@@ -71,59 +71,6 @@ func TestClusterStatsNotBlockedByInFlightJob(t *testing.T) {
 	}
 }
 
-func TestClusterSessionSurvivesGatewayRestart(t *testing.T) {
-	// The gateway restarts on the same address (rolling deploy); the
-	// session's connection is poisoned with rpc.ErrBroken but the next call
-	// re-dials and succeeds. The data key survives the reconnect — no
-	// re-attestation is needed, because nothing secret lives in the
-	// connection.
-	d := newClusterDeployment(t, 2, accel.Conv{})
-	sess, err := DialCluster(d.addr, d.expectations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if err := sess.Attest(); err != nil {
-		t.Fatal(err)
-	}
-	w := accel.GenConv(4, 4, 1, 21)
-	want, err := w.Kernel.Compute(w.Params, w.Input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := sess.RunJob("Conv", w.Params, w.Input); err != nil || !bytes.Equal(out, want) {
-		t.Fatalf("job before restart: %v", err)
-	}
-
-	d.srv.Close()
-	// Rebind the same address; retry briefly while the OS releases the port.
-	var srv2 *rpc.Server
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		srv2, _, err = ServeCluster(d.systems, d.sch, d.addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebind %s: %v", d.addr, err)
-		}
-		//lint:allow test-sleep poll interval inside a deadline-bounded rebind loop; the sleep only paces redial attempts
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer srv2.Close()
-
-	out, err := sess.RunJob("Conv", w.Params, w.Input)
-	if err != nil {
-		t.Fatalf("job after restart: %v", err)
-	}
-	if !bytes.Equal(out, want) {
-		t.Error("post-restart job output diverges from reference")
-	}
-	if sess.Redials() < 1 {
-		t.Errorf("Redials() = %d, want >= 1 after a gateway restart", sess.Redials())
-	}
-}
-
 func TestClusterBootProvisionReplaySafe(t *testing.T) {
 	// Drive the owner protocol by hand over a raw RPC client, replaying each
 	// handshake step the way a client whose connection died mid-flight

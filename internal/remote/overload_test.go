@@ -12,91 +12,6 @@ import (
 	"salus/internal/sched"
 )
 
-// setRedialSchedule compresses (or stretches) the session redial policy
-// for one test and restores it afterwards.
-func setRedialSchedule(t *testing.T, attempts int, base, max time.Duration) {
-	t.Helper()
-	oldA, oldB, oldM := clusterRedialAttempts, clusterRedialBase, clusterRedialMax
-	clusterRedialAttempts, clusterRedialBase, clusterRedialMax = attempts, base, max
-	t.Cleanup(func() {
-		clusterRedialAttempts, clusterRedialBase, clusterRedialMax = oldA, oldB, oldM
-	})
-}
-
-// TestClusterRedialBackoffCapped: against a gateway that never comes
-// back, the redial backoff must stop doubling at the cap — six attempts
-// at base 20 ms spend ~180 ms capped vs ~620 ms uncapped.
-func TestClusterRedialBackoffCapped(t *testing.T) {
-	setRedialSchedule(t, 6, 20*time.Millisecond, 40*time.Millisecond)
-	d := newClusterDeployment(t, 1, accel.Conv{})
-	sess, err := DialCluster(d.addr, d.expectations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if err := sess.Attest(); err != nil {
-		t.Fatal(err)
-	}
-	d.srv.Close() // the gateway dies and never recovers
-
-	start := time.Now()
-	_, err = sess.Stats()
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("Stats succeeded against a dead gateway")
-	}
-	if !strings.Contains(err.Error(), "unreachable") {
-		t.Fatalf("unexpected verdict: %v", err)
-	}
-	// Capped schedule: 20+40+40+40+40 = 180 ms of backoff. Uncapped
-	// doubling would need 620 ms before the dial overhead.
-	if elapsed > 450*time.Millisecond {
-		t.Fatalf("redial rounds took %v — backoff is not capped", elapsed)
-	}
-}
-
-// TestClusterRedialCancelledByClose: a Close during redial backoff must
-// interrupt the wait immediately — the old code slept the full window
-// out on an uninterruptible time.Sleep.
-func TestClusterRedialCancelledByClose(t *testing.T) {
-	setRedialSchedule(t, 4, 2*time.Second, 2*time.Second)
-	d := newClusterDeployment(t, 1, accel.Conv{})
-	sess, err := DialCluster(d.addr, d.expectations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Attest(); err != nil {
-		t.Fatal(err)
-	}
-	d.srv.Close()
-
-	errc := make(chan error, 1)
-	go func() {
-		_, err := sess.Stats()
-		errc <- err
-	}()
-	// Let the call fail its first attempt and park in the 2 s backoff,
-	// then close the session underneath it.
-	//lint:allow test-sleep generous margin for the call to fail its first attempt and park in the 2 s redial backoff being cancelled
-	time.Sleep(100 * time.Millisecond)
-	closeAt := time.Now()
-	sess.Close()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("call succeeded against a dead gateway")
-		}
-		if !strings.Contains(err.Error(), "closed") {
-			t.Fatalf("unexpected verdict after Close: %v", err)
-		}
-		if waited := time.Since(closeAt); waited > 500*time.Millisecond {
-			t.Fatalf("call returned %v after Close — backoff was not cancellable", waited)
-		}
-	case <-time.After(1 * time.Second):
-		t.Fatal("call still parked in redial backoff 1s after Close")
-	}
-}
-
 // TestAdmissionTokenBucket: per-tenant rate limiting — one tenant's
 // exhausted bucket must not touch another's, and buckets refill with
 // time, capped at the burst.

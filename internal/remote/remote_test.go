@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"salus/internal/accel"
@@ -16,52 +17,15 @@ import (
 	"salus/internal/sgx"
 )
 
-// deployment spins up a full networked deployment: manufacturer RPC server,
-// a system whose SM enclave fetches keys over TCP, and the instance gateway.
-type deployment struct {
-	sys          *core.System
-	instanceAddr string
-}
-
-func newDeployment(t testing.TB, kernel accel.Kernel) *deployment {
-	t.Helper()
-	mfr, err := manufacturer.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mfrSrv, mfrAddr, err := ServeManufacturer(mfr, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mfrSrv.Close() })
-
-	kc, err := DialManufacturer(mfrAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { kc.Close() })
-
-	sys, err := core.NewSystem(core.SystemConfig{
-		Kernel:       kernel,
-		Seed:         3,
-		Manufacturer: mfr,
-		KeyService:   kc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instSrv, instAddr, err := ServeInstance(sys, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { instSrv.Close() })
-	return &deployment{sys: sys, instanceAddr: instAddr}
-}
+// A single instance is a one-device cluster: the owner-side tests below
+// run against a one-device ServeCluster deployment (manufacturer RPC
+// server, a system whose SM enclave fetches keys over TCP, a scheduler,
+// and the gateway).
 
 func TestNetworkedAttestAndRunJob(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
+	d := newClusterDeployment(t, 1, accel.Conv{})
 
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	sess, err := DialCluster(d.addr, d.expectations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +33,7 @@ func TestNetworkedAttestAndRunJob(t *testing.T) {
 	if err := sess.Attest(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.sys.Booted() {
+	if !d.systems[0].Booted() {
 		t.Error("instance not booted after remote attestation")
 	}
 
@@ -88,8 +52,8 @@ func TestNetworkedAttestAndRunJob(t *testing.T) {
 }
 
 func TestRunJobRequiresAttestation(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	d := newClusterDeployment(t, 1, accel.Conv{})
+	sess, err := DialCluster(d.addr, d.expectations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +65,10 @@ func TestRunJobRequiresAttestation(t *testing.T) {
 }
 
 func TestAttestRejectsWrongExpectations(t *testing.T) {
-	d := newDeployment(t, accel.Conv{})
-	exp := d.sys.Expectations()
-	exp.Digest[0] ^= 1 // owner expects a different bitstream
-	sess, err := DialInstance(d.instanceAddr, exp)
+	d := newClusterDeployment(t, 1, accel.Conv{})
+	exps := d.expectations()
+	exps[0].Digest[0] ^= 1 // owner expects a different bitstream
+	sess, err := DialCluster(d.addr, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +82,8 @@ func TestSealedJobDataOpaqueToGateway(t *testing.T) {
 	// The gateway (and anything on the TCP path) must never see plaintext
 	// job data: seal happens in the owner's session, open inside the user
 	// enclave. We check the wire forms directly.
-	d := newDeployment(t, accel.Affine{})
-	sess, err := DialInstance(d.instanceAddr, d.sys.Expectations())
+	d := newClusterDeployment(t, 1, accel.Affine{})
+	sess, err := DialCluster(d.addr, d.expectations())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +101,7 @@ func TestSealedJobDataOpaqueToGateway(t *testing.T) {
 		t.Error("remote Affine differs")
 	}
 	// Tampered sealed input is rejected by the enclave.
-	bad, err := DialInstance(d.instanceAddr, d.sys.Expectations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	// Reuse the attested session's key by sending garbage via raw call.
-	if _, err := d.sys.RunJobSealed("Affine", w.Params, []byte("garbage")); err == nil {
+	if _, err := d.systems[0].RunJobSealed("Affine", w.Params, []byte("garbage")); err == nil {
 		t.Error("enclave accepted tampered sealed input")
 	}
 }
@@ -187,8 +145,12 @@ func TestDialErrors(t *testing.T) {
 	if _, err := DialManufacturer("127.0.0.1:1"); err == nil {
 		t.Error("dialed a dead port")
 	}
-	if _, err := DialInstance("127.0.0.1:1", client.Expectations{}); err == nil {
-		t.Error("dialed a dead instance port")
+	exps := []client.Expectations{{}}
+	if _, err := DialCluster("127.0.0.1:1", exps); err == nil {
+		t.Error("dialed a dead cluster port")
+	}
+	if _, err := DialFederation("127.0.0.1:1", exps); err == nil {
+		t.Error("dialed a dead federation port")
 	}
 }
 
@@ -224,6 +186,52 @@ func TestKeyClientSurvivesServerRestart(t *testing.T) {
 	}
 	if !bytes.Equal(root, mfr.Root()) {
 		t.Error("root differs after restart")
+	}
+}
+
+// TestKeyClientConcurrentCalls: the key client holds no lock across a
+// call — boards booting in parallel share one connection — and calls that
+// race into a restarted manufacturer all re-dial onto one fresh stream.
+func TestKeyClientConcurrentCalls(t *testing.T) {
+	mfr, err := manufacturer.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, err := ServeManufacturer(mfr, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc, err := DialManufacturer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kc.Close()
+	burst := func(phase string) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				root, err := kc.Root()
+				if err != nil {
+					t.Errorf("%s: %v", phase, err)
+				} else if !bytes.Equal(root, mfr.Root()) {
+					t.Errorf("%s: root differs", phase)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	burst("before restart")
+	srv.Close()
+	srv2 := rebind(t, addr, func() (*rpc.Server, error) {
+		srv, _, err := ServeManufacturer(mfr, addr)
+		return srv, err
+	})
+	defer srv2.Close()
+	burst("after restart")
+	if n := kc.cn.redials(); n != 1 {
+		t.Errorf("redials = %d after one restart, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -200,5 +201,58 @@ func TestPerRPQueueDepthGaugesReturnToZeroAfterChurn(t *testing.T) {
 	}
 	if d := after.Gauges["salus_sched_queue_depth"] - before.Gauges["salus_sched_queue_depth"]; d != 0 {
 		t.Fatalf("global queue depth gauge leaked %+d after churn, want exactly 0", d)
+	}
+}
+
+// TestPerRPGaugeSeriesReleasedOnRemove: per-RP queue-depth series live
+// only while their partition is registered. After repeated add/remove
+// cycles of one board — whole-board Remove and per-partition RemoveRP —
+// the registry holds exactly the gauges it started with, so boards that
+// autoscale or replace churn through never accumulate in snapshots.
+func TestPerRPGaugeSeriesReleasedOnRemove(t *testing.T) {
+	systems, err := core.NewPartitionSystems(core.SystemConfig{
+		Kernel: accel.Conv{},
+		Seed:   812,
+		DNA:    "RPCHURN-00",
+		Timing: core.FastTiming(),
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BootShared(systems); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	defer s.Close()
+	gaugeNames := func() []string { return metrics.Default().Snapshot().SortedGaugeNames() }
+	start := gaugeNames()
+
+	w := accel.GenConv(4, 4, 1, 26)
+	for cycle := 0; cycle < 4; cycle++ {
+		for _, sys := range systems {
+			if err := s.Register(sys); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		}
+		if got := len(gaugeNames()); got != len(start)+len(systems) {
+			t.Fatalf("cycle %d: %d gauges while the board serves, want %d", cycle, got, len(start)+len(systems))
+		}
+		if _, err := s.Submit(w).Wait(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if cycle%2 == 0 {
+			if _, err := s.Remove("RPCHURN-00", 5*time.Second); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		} else {
+			for _, sys := range systems {
+				if _, err := s.RemoveRP("RPCHURN-00", sys.Partition(), 5*time.Second); err != nil {
+					t.Fatalf("cycle %d: %v", cycle, err)
+				}
+			}
+		}
+		if got := gaugeNames(); !slices.Equal(got, start) {
+			t.Fatalf("cycle %d: gauges after removal = %v, want %v", cycle, got, start)
+		}
 	}
 }

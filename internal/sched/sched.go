@@ -707,13 +707,19 @@ func (s *Scheduler) RegisterTenant(sys *core.System, tenant string) error {
 		sys:     sys,
 		rp:      rp,
 		tenant:  tenant,
-		rpGauge: metrics.Default().Gauge(fmt.Sprintf("salus_sched_rp_queue_depth_%s_rp%d", sys.Device.DNA(), rp)),
+		rpGauge: metrics.Default().Gauge(rpGaugeName(sys.Device.DNA(), rp)),
 	}
 	d.q = newPQueue(s.queueDepth, &d.draining, s.tenantWeights)
 	s.devices = append(s.devices, d)
 	s.wg.Add(1)
 	go d.run(s)
 	return nil
+}
+
+// rpGaugeName names a partition's queue-depth gauge. The series lives
+// while the partition is registered: Remove and RemoveRP release it.
+func rpGaugeName(dna fpga.DNA, rp int) string {
+	return fmt.Sprintf("salus_sched_rp_queue_depth_%s_rp%d", dna, rp)
 }
 
 // RegisterPipeline adds every stage of a booted pipeline. Each stage runs
@@ -862,6 +868,9 @@ func (s *Scheduler) Remove(dna fpga.DNA, timeout time.Duration) (*core.System, e
 	for _, dd := range s.devices {
 		if dd.sys.Device.DNA() == dna {
 			removed = append(removed, dd)
+			// Released under mu, so a re-registration of the same
+			// partition can never have its fresh series dropped here.
+			metrics.Default().Remove(rpGaugeName(dna, dd.rp))
 		} else {
 			kept = append(kept, dd)
 		}
@@ -901,6 +910,7 @@ func (s *Scheduler) RemoveRP(dna fpga.DNA, rp int, timeout time.Duration) (*core
 		if dd.sys.Device.DNA() == dna && dd.rp == rp {
 			d = dd
 			s.devices = append(s.devices[:i], s.devices[i+1:]...)
+			metrics.Default().Remove(rpGaugeName(dna, rp))
 			break
 		}
 	}
