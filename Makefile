@@ -1,9 +1,10 @@
 GO ?= go
 
 # Packages whose statement coverage is gated in CI (the observability layer,
-# the subsystems its health signals come from, and the owner-facing
-# gateway/session layer), and the floor they must clear.
-COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote
+# the subsystems its health signals come from, the owner-facing
+# gateway/session layer, and the rpc transport under it), and the floor
+# they must clear.
+COVER_PKGS = salus/internal/metrics salus/internal/sched salus/internal/fleet salus/internal/place salus/internal/remote salus/internal/rpc
 COVER_FLOOR = 75
 
 .PHONY: all build test vet lint race tier1 ci cover cover-check fmt-check bench bench-smoke bench-sched bench-sched-gate bench-overload bench-degraded bench-fleet bench-metrics bench-federation bench-multitenant clean
@@ -31,11 +32,11 @@ race:
 	$(GO) vet ./... && $(GO) test -race ./...
 
 # The roadmap's tier-1 gate, plus the concurrency-sensitive packages
-# (scheduler, core job path, owner sessions and gateways) under the race
-# detector.
+# (scheduler, core job path, owner sessions and gateways, the rpc
+# transport) under the race detector.
 tier1:
 	$(GO) build ./... && $(GO) test ./...
-	$(GO) test -race ./internal/sched ./internal/core ./internal/remote
+	$(GO) test -race ./internal/sched ./internal/core ./internal/remote ./internal/rpc
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

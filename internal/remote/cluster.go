@@ -78,8 +78,9 @@ type BatchJob struct {
 }
 
 // BatchRequest carries a whole batch of sealed jobs for one kernel in a
-// single RPC frame — one length prefix, one JSON envelope, one scheduler
-// hand-off — instead of one round trip per job.
+// single RPC frame — one length prefix, one envelope, one scheduler
+// hand-off — instead of one round trip per job. It and the other three
+// sealed data-path messages travel in the binary form of wire.go.
 type BatchRequest struct {
 	Kernel string     `json:"kernel"`
 	Jobs   []BatchJob `json:"jobs"`

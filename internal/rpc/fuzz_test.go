@@ -7,80 +7,107 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"unicode/utf8"
 )
 
-// FuzzFrameRoundTrip throws arbitrary bytes at the length-prefixed frame
-// codec — truncated headers, truncated bodies, oversized and lying length
-// prefixes, corrupt JSON — and asserts the decoder never panics, never
-// trusts the prefix over the bytes actually present, and stays a strict
-// inverse of the encoder for everything the encoder can produce.
-func FuzzFrameRoundTrip(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		out := make([]byte, 4+len(payload))
-		binary.BigEndian.PutUint32(out, uint32(len(payload)))
-		copy(out[4:], payload)
-		return out
-	}
-	f.Add(frame([]byte(`{"id":1,"method":"Cluster.Boot","params":{}}`)))
-	f.Add(frame(nil))                                    // empty body
-	f.Add([]byte{})                                      // empty stream
-	f.Add([]byte{0x00, 0x00})                            // truncated header
-	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 'a', 'b'})      // truncated body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})           // length above MaxFrame
-	f.Add([]byte{0x04, 0x00, 0x00, 0x00})                // claims 64 MiB, delivers 0
-	f.Add(append(frame([]byte(`{"id":2}`)), 0xde, 0xad)) // valid frame + trailing junk
+// rawPayload is a binary-form message carrying its bytes verbatim, so the
+// tests can put any payload into a frame.
+type rawPayload []byte
 
-	// Federation wire messages (routing, spill placement, the enclave key
-	// hand-off), seeded so the corpus explores the tier's frame shapes:
-	// session addressing, nested placement fields, byte-array report blobs
-	// and base64 key material inside JSON, batch envelopes.
-	f.Add(frame([]byte(`{"id":3,"method":"Federation.Route","params":{"tenant":"tenant-7","key":"dataset-41"}}`)))
-	f.Add(frame([]byte(`{"id":3,"result":{"shard":"gw2","addr":"127.0.0.1:7012","epoch":5}}`)))
-	f.Add(frame([]byte(`{"id":4,"method":"Cluster.RunJob","params":{"tenant":"t","key":"k","kernel":"Conv","params":[4,4,1,0],"sealed_input":"3q2+7w==","class":"critical","deadline_ms":1500}}`)))
-	f.Add(frame([]byte(`{"id":4,"result":{"sealed_output":"3q2+7w==","shard":"gw1","spilled":true}}`)))
-	f.Add(frame([]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"key":"k","kernel":"Conv","jobs":[{"params":[1,2,3,4],"sealed_input":"AA=="},{"params":[0,0,0,0],"sealed_input":""}]}}`)))
-	f.Add(frame([]byte(`{"id":6,"method":"Federation.Handoff","params":{"report":{"MRENCLAVE":[1,2,3],"Version":1,"Debug":false,"ReportData":[9,9],"MAC":"q83v"},"recipient_pub":"BAUG"}}`)))
-	f.Add(frame([]byte(`{"id":6,"result":{"sender_pub":"AAEC","sealed":"AAECAwQFBgc="}}`)))
+func (p rawPayload) AppendBinary(b []byte) ([]byte, error) { return append(b, p...), nil }
+
+func (p *rawPayload) UnmarshalBinary(data []byte) error {
+	*p = append(rawPayload(nil), data...)
+	return nil
+}
+
+// testFrame is one whole frame carrying payload verbatim.
+func testFrame(t testing.TB, id uint64, method, errMsg string, payload []byte) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, id, method, errMsg, rawPayload(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// lengthPrefixed frames an arbitrary body, valid envelope or not.
+func lengthPrefixed(body []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// FuzzFrameRoundTrip throws arbitrary bytes at the frame and envelope
+// decoders — truncated headers, truncated bodies, oversized and lying
+// length prefixes, method and error lengths past the body — and asserts the
+// decoders never panic, never trust a length over the bytes actually
+// present, and are the exact inverse of the encoder: the envelope has one
+// encoding, so every body they accept re-encodes byte for byte.
+func FuzzFrameRoundTrip(f *testing.F) {
+	f.Add(testFrame(f, 1, "Cluster.Boot", "", []byte(`{"nonce":"3q2+7w=="}`)))
+	f.Add(lengthPrefixed(nil))                              // empty body
+	f.Add([]byte{})                                         // empty stream
+	f.Add([]byte{0x00, 0x00})                               // truncated length prefix
+	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 'a', 'b'})         // truncated body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})              // length above MaxFrame
+	f.Add([]byte{0x04, 0x00, 0x00, 0x00})                   // claims 64 MiB, delivers 0
+	f.Add(append(testFrame(f, 2, "", "", nil), 0xde, 0xad)) // valid frame + trailing junk
+
+	// Federation and sealed data-path frames, seeded so the corpus explores
+	// the tier's frame shapes: JSON routing and hand-off payloads, and the
+	// binary job and batch payloads with their raw sealed bytes.
+	f.Add(testFrame(f, 3, "Federation.Route", "", []byte(`{"tenant":"tenant-7","key":"dataset-41"}`)))
+	f.Add(testFrame(f, 3, "", "", []byte(`{"shard":"gw2","addr":"127.0.0.1:7012","epoch":5}`)))
+	f.Add(testFrame(f, 4, "Cluster.RunJob", "", []byte("\x00\x00\x00\x04Conv\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x04\xde\xad\xbe\xef")))
+	f.Add(testFrame(f, 4, "", "", []byte("\x00\x00\x00\x04\xde\xad\xbe\xef\x00\x00\x00\x03gw1\x01")))
+	f.Add(testFrame(f, 5, "Cluster.RunBatch", "", []byte("\x00\x00\x00\x04Conv\x00\x00\x00\x02")))
+	f.Add(testFrame(f, 6, "Federation.Handoff", "", []byte(`{"report":{"MRENCLAVE":[1,2,3],"Version":1,"Debug":false,"ReportData":[9,9],"MAC":"q83v"},"recipient_pub":"BAUG"}`)))
+	f.Add(testFrame(f, 6, "", "", []byte(`{"sender_pub":"AAEC","sealed":"AAECAwQFBgc="}`)))
+	f.Add(testFrame(f, 9, "", "cluster already booted under a different nonce", nil)) // error response
+
+	// Malformed envelopes — a header shorter than its fixed fields, method
+	// or error lengths running past the end of the body — are in
+	// testdata/fuzz/FuzzFrameRoundTrip/envelope-*.
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, err := readRawFrame(bytes.NewReader(data))
+		body, fb, err := readPooledFrame(bytes.NewReader(data))
 		if err == nil {
 			// The decoder may only hand back bytes that were actually on the
 			// stream — a lying length prefix must fail, not fabricate.
 			if len(body) > len(data)-4 {
 				t.Fatalf("decoded %d bytes from a %d-byte stream", len(body), len(data))
 			}
-			// Re-framing the decoded body must round-trip to identical bytes.
-			reframed := make([]byte, 4+len(body))
-			binary.BigEndian.PutUint32(reframed, uint32(len(body)))
-			copy(reframed[4:], body)
-			back, err := readRawFrame(bytes.NewReader(reframed))
-			if err != nil {
-				t.Fatalf("re-framed decode failed: %v", err)
+			if env, err := splitEnvelope(body); err == nil {
+				if len(env.method)+len(env.errMsg)+len(env.payload)+envelopeHeader != len(body) {
+					t.Fatal("envelope fields do not partition the body")
+				}
+				back := testFrame(t, env.id, env.method, env.errMsg, env.payload)
+				if !bytes.Equal(back[4:], body) {
+					t.Fatal("re-encoded envelope differs from the accepted body")
+				}
+			} else if !errors.Is(err, errEnvelope) {
+				t.Fatalf("splitEnvelope: unexpected error %v", err)
 			}
-			if !bytes.Equal(body, back) {
-				t.Fatal("re-framed body differs")
-			}
+			releaseFrame(fb)
 		}
 
-		// Encoder -> decoder round trip for a request carrying the fuzz
-		// bytes as its method string (JSON coerces invalid UTF-8, so only
-		// valid strings can compare equal).
-		req := Request{ID: 7, Method: string(data)}
-		var buf bytes.Buffer
-		if _, err := writeFrame(&buf, req); err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				return
-			}
-			t.Fatalf("writeFrame: %v", err)
+		// Encoder -> decoder round trip with the fuzz bytes as method, error
+		// text and payload: the envelope carries arbitrary bytes verbatim.
+		method := data
+		if len(method) > maxMethodLen {
+			method = method[:maxMethodLen]
 		}
-		var got Request
-		if err := readFrame(bytes.NewReader(buf.Bytes()), &got); err != nil {
-			t.Fatalf("readFrame of encoder output: %v", err)
+		frame := testFrame(t, 7, string(method), string(data), data)
+		body, fb, err = readPooledFrame(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatalf("frame read of encoder output: %v", err)
 		}
-		if utf8.ValidString(req.Method) && got.Method != req.Method {
-			t.Fatalf("method corrupted: %q -> %q", req.Method, got.Method)
+		defer releaseFrame(fb)
+		env, err := splitEnvelope(body)
+		if err != nil {
+			t.Fatalf("splitEnvelope of encoder output: %v", err)
+		}
+		if env.id != 7 || env.method != string(method) || env.errMsg != string(data) || !bytes.Equal(env.payload, data) {
+			t.Fatalf("envelope corrupted: id %d, %d-byte method, %d-byte error, %d-byte payload",
+				env.id, len(env.method), len(env.errMsg), len(env.payload))
 		}
 	})
 }
@@ -99,7 +126,7 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 8; i++ {
-		if _, err := readRawFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, err := readPooledFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncated max-size frame: err = %v, want unexpected EOF", err)
 		}
 	}
@@ -111,9 +138,12 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 	// A frame right at the limit still works when the bytes really arrive.
 	big := make([]byte, MaxFrame)
 	binary.BigEndian.PutUint32(hdr, MaxFrame)
-	got, err := readRawFrame(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(big)))
+	got, fb, err := readPooledFrame(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(big)))
 	if err != nil {
 		t.Fatalf("full max-size frame: %v", err)
+	}
+	if fb != nil {
+		t.Error("a max-size frame came from the chunk pool")
 	}
 	if len(got) != MaxFrame {
 		t.Fatalf("decoded %d bytes, want %d", len(got), MaxFrame)
@@ -122,16 +152,22 @@ func TestReadRawFrameBoundedAlloc(t *testing.T) {
 
 // TestFederationFrameBoundedAlloc pins the bounded-alloc property for the
 // federation tier's frames specifically: a peer opening what looks like a
-// legitimate Federation.Handoff or routed Cluster.RunJob request — a real
-// JSON prefix with a max-size length claim — but delivering only the
-// prefix must cost memory proportional to the delivered bytes. Hand-off grants and sealed job
-// payloads are the frames an attacker would inflate, since gateways relay
-// them between regions.
+// legitimate Federation.Handoff or routed Cluster.RunJob/RunBatch request —
+// a real envelope and payload prefix with a max-size length claim — but
+// delivering only the prefix must cost memory proportional to the
+// delivered bytes. Hand-off grants and sealed job payloads are the frames
+// an attacker would inflate, since gateways relay them between regions.
 func TestFederationFrameBoundedAlloc(t *testing.T) {
+	header := func(id uint64, method string) []byte {
+		return testFrame(t, id, method, "", nil)[4:] // body only; the claim is added below
+	}
 	prefixes := [][]byte{
-		[]byte(`{"id":6,"method":"Federation.Handoff","params":{"report":{"MRENCLAVE":[`),
-		[]byte(`{"id":4,"method":"Cluster.RunJob","params":{"key":"k","sealed_input":"`),
-		[]byte(`{"id":5,"method":"Cluster.RunBatch","params":{"jobs":[{"sealed_input":"`),
+		append(header(6, "Federation.Handoff"), `{"report":{"MRENCLAVE":[`...),
+		// Binary job payload: kernel, params, then a sealed-input length
+		// claim far beyond the bytes that follow.
+		append(header(4, "Cluster.RunJob"), "\x00\x00\x00\x04Conv"+string(make([]byte, 32))+"\x03\xff\xff\xff"...),
+		// Binary batch payload: kernel, then a job-count claim.
+		append(header(5, "Cluster.RunBatch"), "\x00\x00\x00\x04Conv\x00\xff\xff\xff"...),
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -141,7 +177,7 @@ func TestFederationFrameBoundedAlloc(t *testing.T) {
 		binary.BigEndian.PutUint32(hdr, MaxFrame) // claims 64 MiB
 		stream := append(hdr, p...)               // delivers a few dozen bytes
 		for i := 0; i < 8; i++ {
-			if _, err := readRawFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, _, err := readPooledFrame(bytes.NewReader(stream)); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("truncated federation frame: err = %v, want unexpected EOF", err)
 			}
 		}

@@ -1,8 +1,21 @@
 // Package rpc is the remote-procedure-call layer of the Salus software
 // stack (§5.2, Figure 6). The paper leverages gRPC "for easy development
 // and extension"; this reproduction implements the same role on the
-// standard library: length-prefixed JSON frames over TCP, a method-table
+// standard library: length-prefixed binary frames over TCP, a method-table
 // server, and a multiplexing client.
+//
+// Each frame is a 4-byte big-endian body length and a body
+//
+//	[u64 id][u16 method len][method][u32 error len][error][payload]
+//
+// Requests carry a method, responses an optional error text. The payload
+// codec is chosen by the message's Go type, with no knob and no
+// negotiation: a type whose value has AppendBinary and whose pointer
+// implements encoding.BinaryUnmarshaler travels in its own binary form (the
+// sealed job and batch messages, so their ciphertext crosses raw, as
+// protobuf bytes fields do under gRPC); every other type travels as JSON.
+// Either way each payload is encoded once, straight into the frame, and
+// decoded once; the envelope is split without reading the payload.
 //
 // Both ends are fully concurrent. The server dispatches every request on
 // its own goroutine (responses are serialised by a per-connection write
@@ -20,13 +33,14 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"time"
 
@@ -88,59 +102,161 @@ type ServerError struct {
 // Error implements error.
 func (e *ServerError) Error() string { return e.Msg }
 
-// Request is one call envelope.
-type Request struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
+// Envelope layout. Every frame body behind the 4-byte length prefix is
+//
+//	[u64 id][u16 method len][method][u32 error len][error][payload]
+//
+// all big-endian. A request carries a method and no error; a response
+// carries no method and, on failure, the handler's error text. The payload
+// is encoded exactly once, straight into the frame (see appendPayload), and
+// the decoders split the envelope without reading it.
+const (
+	envelopeHeader = 8 + 2 + 4 // id + method len + error len, with empty strings
+	maxMethodLen   = 1<<16 - 1
+)
+
+// errEnvelope marks a frame body whose header lengths do not fit it.
+var errEnvelope = errors.New("rpc: malformed envelope")
+
+// binaryAppender is encoding.BinaryAppender (Go 1.24), declared here so the
+// module keeps building for its older minimum Go version.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
-// Response is one reply envelope.
-type Response struct {
-	ID     uint64          `json:"id"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
+var (
+	appenderType    = reflect.TypeFor[binaryAppender]()
+	unmarshalerType = reflect.TypeFor[encoding.BinaryUnmarshaler]()
+)
+
+// binaryForm reports whether messages of type t (or of the type t points
+// to) travel in their own binary form: the value implements AppendBinary
+// and the pointer implements encoding.BinaryUnmarshaler. The codec is
+// chosen by the Go type alone, so both ends of a method agree without
+// negotiation; every other type travels as JSON.
+func binaryForm(t reflect.Type) bool {
+	if t == nil {
+		return false
+	}
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return t.Implements(appenderType) && reflect.PointerTo(t).Implements(unmarshalerType)
 }
 
-// wbufPool recycles the scratch buffers writeFrame encodes into. Buffers
-// that ballooned past a few chunks (a bitstream upload, say) are dropped
-// rather than pooled, so one huge frame does not pin 64 MiB for the life
-// of the process.
-var wbufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// appendPayload encodes v once, appending to b: binary-form types through
+// AppendBinary, everything else through one JSON encoding pass. A nil v
+// is an empty payload, which decodes to the zero value.
+func appendPayload(b []byte, v any) ([]byte, error) {
+	if v == nil {
+		return b, nil
+	}
+	if binaryForm(reflect.TypeOf(v)) {
+		return v.(binaryAppender).AppendBinary(b)
+	}
+	w := appendWriter{b: b}
+	if err := json.NewEncoder(&w).Encode(v); err != nil {
+		return b, err
+	}
+	return w.b[:len(w.b)-1], nil // drop Encode's trailing newline
+}
+
+// appendWriter lets a json.Encoder write straight into a frame buffer.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// decodePayload decodes data into v (a pointer) in the form its type
+// travels in. Both codecs copy what they keep, so v never aliases data.
+func decodePayload(data []byte, v any) error {
+	if u, ok := v.(encoding.BinaryUnmarshaler); ok && binaryForm(reflect.TypeOf(v)) {
+		return u.UnmarshalBinary(data)
+	}
+	return json.Unmarshal(data, v)
+}
+
+// wbufPool recycles the buffers frames are encoded into. Buffers that
+// ballooned past a few chunks (a bitstream upload, say) are dropped rather
+// than pooled, so one huge frame does not pin 64 MiB for the life of the
+// process.
+var wbufPool = sync.Pool{New: func() any { return new(writeBuf) }}
+
+type writeBuf struct{ b []byte }
 
 const maxPooledWriteBuf = 4 * frameChunk
 
-// writeFrame sends one length-prefixed JSON value and returns the frame
-// size on the wire (header + body). The encode scratch comes from a
-// sync.Pool, so steady-state framing does not allocate a fresh body
-// buffer per message.
-func writeFrame(w io.Writer, v any) (int, error) {
-	buf := wbufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledWriteBuf {
-			wbufPool.Put(buf)
-		}
-	}()
-	buf.Write([]byte{0, 0, 0, 0}) // length-prefix placeholder, patched below
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil {
-		return 0, fmt.Errorf("rpc: encode: %w", err)
+// putWriteBuf recycles wb with used (the grown frame) as its storage.
+func putWriteBuf(wb *writeBuf, used []byte) {
+	if cap(used) <= maxPooledWriteBuf {
+		wb.b = used[:0]
+		wbufPool.Put(wb)
 	}
-	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // drop Encode's trailing newline
-	body := len(frame) - 4
-	if body > MaxFrame {
-		return 0, ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body))
-	if _, err := w.Write(frame); err != nil {
-		return 0, err
-	}
-	return len(frame), nil
 }
 
-// frameChunk bounds how much readRawFrame allocates up front. The length
+// appendFrame appends one whole frame to b: the length prefix, the
+// envelope, and payload encoded once in its type's form. The result is the
+// exact bytes to put on the wire. Nothing is written anywhere, so a failure
+// (ErrFrameTooLarge, an encode error) never touches a connection.
+func appendFrame(b []byte, id uint64, method, errMsg string, payload any) ([]byte, error) {
+	if len(method) > maxMethodLen {
+		return b, fmt.Errorf("rpc: method name of %d bytes exceeds %d", len(method), maxMethodLen)
+	}
+	start := len(b)
+	b = append(b, 0, 0, 0, 0) // length prefix, patched below
+	b = binary.BigEndian.AppendUint64(b, id)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(method)))
+	b = append(b, method...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(errMsg)))
+	b = append(b, errMsg...)
+	b, err := appendPayload(b, payload)
+	if err != nil {
+		return b[:start], fmt.Errorf("rpc: encode: %w", err)
+	}
+	body := len(b) - start - 4
+	if body > MaxFrame {
+		return b[:start], ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(body))
+	return b, nil
+}
+
+// envelope is one decoded frame header. method and errMsg are copies;
+// payload aliases the frame body.
+type envelope struct {
+	id      uint64
+	method  string
+	errMsg  string
+	payload []byte
+}
+
+// splitEnvelope decodes a frame body's header without reading the
+// payload. A truncated header, or a method or error length running past
+// the body, is errEnvelope.
+func splitEnvelope(body []byte) (envelope, error) {
+	if len(body) < envelopeHeader {
+		return envelope{}, errEnvelope
+	}
+	env := envelope{id: binary.BigEndian.Uint64(body)}
+	rest := body[8:]
+	n := int(binary.BigEndian.Uint16(rest))
+	rest = rest[2:]
+	if n > len(rest)-4 {
+		return envelope{}, errEnvelope
+	}
+	env.method, rest = string(rest[:n]), rest[n:]
+	m := uint64(binary.BigEndian.Uint32(rest))
+	rest = rest[4:]
+	if m > uint64(len(rest)) {
+		return envelope{}, errEnvelope
+	}
+	env.errMsg, env.payload = string(rest[:m]), rest[m:]
+	return env, nil
+}
+
+// frameChunk bounds how much a frame read allocates up front. The length
 // prefix is attacker-controlled: a hostile peer can claim a frame just
 // under MaxFrame (64 MiB) and then hang up, so the buffer must grow with
 // the bytes actually received, never with the bytes merely promised.
@@ -160,38 +276,18 @@ var frameBufPool = sync.Pool{
 
 // releaseFrame returns a pooled read buffer. Nil is fine (large frames and
 // error paths carry no pooled buffer). After the call, any byte slice that
-// aliased the frame body — including json.RawMessage fields decoded from
-// it — is invalid.
+// aliased the frame body — including a handler's params — is invalid.
 func releaseFrame(fb *frameBuf) {
 	if fb != nil {
 		frameBufPool.Put(fb)
 	}
 }
 
-// readRawFrame receives one length-prefixed body into a fresh allocation.
-// Any error here means the stream position is no longer trustworthy.
-func readRawFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	if n <= frameChunk {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, err
-		}
-		return body, nil
-	}
-	return readLargeBody(r, n)
-}
-
-// readPooledFrame is readRawFrame with a recycled body buffer for frames
-// that fit one chunk. The returned frameBuf (nil for large frames) must be
-// handed back via releaseFrame once nothing aliases the body any more.
+// readPooledFrame receives one length-prefixed body, into a recycled
+// buffer for frames that fit one chunk. The returned frameBuf (nil for
+// large frames) must be handed back via releaseFrame once nothing aliases
+// the body any more. Any error here means the stream position is no longer
+// trustworthy.
 func readPooledFrame(r io.Reader) ([]byte, *frameBuf, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -245,22 +341,18 @@ func readLargeBody(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// readFrame receives one length-prefixed JSON value into v.
-func readFrame(r io.Reader, v any) error {
-	body, err := readRawFrame(r)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
 // Handler serves one method: decode params, do work, return a result.
 //
+// params is the request payload in the form its type travels in (see
+// binaryForm). The result is encoded the same way, once, straight into the
+// response frame.
+//
 // Aliasing rule: params points into a pooled frame buffer that is recycled
-// the moment the handler returns, so a handler must not retain params (or
-// any subslice) past its return. Handlers built with Typed always satisfy
-// this — json.Unmarshal copies what it keeps.
-type Handler func(params json.RawMessage) (any, error)
+// once the handler has returned and its result is encoded, so a handler
+// must not retain params (or any subslice) past its return. Handlers built
+// with Typed always satisfy this: json.Unmarshal and the binary decoders
+// copy what they keep.
+type Handler func(params []byte) (any, error)
 
 // Server dispatches requests to registered handlers. Every request runs on
 // its own goroutine; responses on a connection are serialised by a write
@@ -295,10 +387,10 @@ func (s *Server) Handle(method string, h Handler) {
 
 // Typed adapts a strongly typed handler func(In) (Out, error) to a Handler.
 func Typed[In, Out any](fn func(In) (Out, error)) Handler {
-	return func(params json.RawMessage) (any, error) {
+	return func(params []byte) (any, error) {
 		var in In
 		if len(params) > 0 {
-			if err := json.Unmarshal(params, &in); err != nil {
+			if err := decodePayload(params, &in); err != nil {
 				return nil, fmt.Errorf("rpc: bad params: %w", err)
 			}
 		}
@@ -367,18 +459,20 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		mSrvRxBytes.Add(uint64(4 + len(body)))
-		var req Request
-		if err := json.Unmarshal(body, &req); err != nil {
+		env, err := splitEnvelope(body)
+		if err != nil || env.errMsg != "" {
+			// Undecodable, or a response where a request belongs: the
+			// stream cannot be trusted to frame correctly any more.
 			releaseFrame(fb)
 			return
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
 		mSrvInflight.Add(1)
-		// req.Params aliases the pooled frame body, so the handler
-		// goroutine owns fb and recycles it once dispatch has returned
+		// env.payload aliases the pooled frame body, so the handler
+		// goroutine owns fb and recycles it once the result is encoded
 		// (handlers must not retain params — see Handler).
-		go func(req Request, fb *frameBuf) {
+		go func(env envelope, fb *frameBuf) {
 			defer func() {
 				mSrvInflight.Add(-1)
 				<-sem
@@ -386,14 +480,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}()
 			mSrvRequests.Inc()
 			start := time.Now()
-			resp := s.dispatch(req)
-			releaseFrame(fb) // dispatch returned; nothing aliases the body now
+			wb := wbufPool.Get().(*writeBuf)
+			frame := s.respond(wb.b[:0], env)
+			releaseFrame(fb) // the result is encoded; nothing aliases the body now
 			mSrvHandle.Since(start)
-			if resp.Error != "" {
-				mSrvErrors.Inc()
-			}
 			wmu.Lock()
-			nw, err := writeFrame(bw, resp)
+			_, err := bw.Write(frame)
 			if err == nil {
 				err = bw.Flush()
 			}
@@ -403,28 +495,40 @@ func (s *Server) serveConn(conn net.Conn) {
 				// the read loop stops feeding it.
 				conn.Close()
 			} else {
-				mSrvTxBytes.Add(uint64(nw))
+				mSrvTxBytes.Add(uint64(len(frame)))
 			}
-		}(req, fb)
+			putWriteBuf(wb, frame)
+		}(env, fb)
 	}
 }
 
-func (s *Server) dispatch(req Request) Response {
+// respond runs the request's handler and appends its response frame to b.
+// A result that cannot be sent — unencodable, or larger than MaxFrame —
+// becomes an error frame on the same connection: nothing reached the wire,
+// so the stream is intact and the caller gets a ServerError instead of a
+// dead connection (and a retry layer's re-run of the call).
+func (s *Server) respond(b []byte, env envelope) []byte {
 	s.mu.RLock()
-	h, ok := s.handlers[req.Method]
+	h, ok := s.handlers[env.method]
 	s.mu.RUnlock()
-	if !ok {
-		return Response{ID: req.ID, Error: "rpc: unknown method " + req.Method}
+	var out any
+	errMsg := "rpc: unknown method " + env.method
+	if ok {
+		var err error
+		errMsg = ""
+		if out, err = h(env.payload); err != nil {
+			out, errMsg = nil, err.Error()
+		}
 	}
-	out, err := h(req.Params)
+	frame, err := appendFrame(b, env.id, "", errMsg, out)
 	if err != nil {
-		return Response{ID: req.ID, Error: err.Error()}
+		errMsg = "rpc: result not sent: " + err.Error()
+		frame, _ = appendFrame(b, env.id, "", errMsg, nil)
 	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		return Response{ID: req.ID, Error: "rpc: encode result: " + err.Error()}
+	if errMsg != "" {
+		mSrvErrors.Inc()
 	}
-	return Response{ID: req.ID, Result: body}
+	return frame
 }
 
 // Close stops the listener and all connections, waiting for handlers.
@@ -474,11 +578,11 @@ type Client struct {
 }
 
 // inbound is one response routed from readLoop to its caller. fb is the
-// pooled frame buffer the Response's Result aliases; the receiver recycles
+// pooled frame buffer the envelope's payload aliases; the receiver recycles
 // it after decoding.
 type inbound struct {
-	resp Response
-	fb   *frameBuf
+	env envelope
+	fb  *frameBuf
 }
 
 // maxAbandoned caps the abandoned-ID set. An eviction can in principle
@@ -524,8 +628,11 @@ func (c *Client) readLoop() {
 			return
 		}
 		mCliRxBytes.Add(uint64(4 + len(body)))
-		var resp Response
-		if err := json.Unmarshal(body, &resp); err != nil {
+		env, err := splitEnvelope(body)
+		if err == nil && env.method != "" {
+			err = errors.New("request frame where a response belongs")
+		}
+		if err != nil {
 			releaseFrame(fb)
 			// The frame cannot be attributed to any call; its owner would
 			// hang forever if we dropped it silently.
@@ -533,23 +640,23 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		if ch, ok := c.pending[resp.ID]; ok {
-			delete(c.pending, resp.ID)
+		if ch, ok := c.pending[env.id]; ok {
+			delete(c.pending, env.id)
 			c.mu.Unlock()
 			// Buffered; the caller may have raced to timeout but always
 			// collects a delivered response, and recycles fb after decoding.
-			ch <- inbound{resp: resp, fb: fb}
+			ch <- inbound{env: env, fb: fb}
 			continue
 		}
-		if _, ok := c.abandoned[resp.ID]; ok {
-			delete(c.abandoned, resp.ID)
+		if _, ok := c.abandoned[env.id]; ok {
+			delete(c.abandoned, env.id)
 			c.mu.Unlock()
 			releaseFrame(fb)
 			continue
 		}
 		c.mu.Unlock()
 		releaseFrame(fb)
-		c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, resp.ID))
+		c.fatal(fmt.Errorf("%w: response id %d matches no call", ErrBroken, env.id))
 		return
 	}
 }
@@ -589,21 +696,22 @@ func (c *Client) Call(method string, params any, result any) error {
 		mCliCall.Since(start)
 	}()
 
-	// Marshal before touching the wire: an encode failure must not poison
-	// the connection.
-	var raw json.RawMessage
-	if params != nil {
-		body, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("rpc: encode params: %w", err)
-		}
-		raw = body
+	// Encode the whole frame before touching the wire or the pending map:
+	// an encode failure (ErrFrameTooLarge included) means the call simply
+	// never happened, and the connection is untouched. The ID is patched in
+	// once the call is registered.
+	wb := wbufPool.Get().(*writeBuf)
+	frame, err := appendFrame(wb.b[:0], 0, method, "", params)
+	if err != nil {
+		putWriteBuf(wb, frame)
+		return err
 	}
 
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		putWriteBuf(wb, frame)
 		return err
 	}
 	c.next++
@@ -613,29 +721,21 @@ func (c *Client) Call(method string, params any, result any) error {
 	timeout := c.timeout
 	c.mu.Unlock()
 
-	req := Request{ID: id, Method: method, Params: raw}
+	binary.BigEndian.PutUint64(frame[4:], id)
 	c.wmu.Lock()
-	nw, err := writeFrame(c.bw, req)
+	_, err = c.bw.Write(frame)
 	if err == nil {
 		err = c.bw.Flush()
 	}
 	c.wmu.Unlock()
-	if err == nil {
-		mCliTxBytes.Add(uint64(nw))
-	}
+	nw := len(frame)
+	putWriteBuf(wb, frame)
 	if err != nil {
-		if errors.Is(err, ErrFrameTooLarge) {
-			// Rejected before any bytes hit the wire: the call simply never
-			// happened.
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
-			return err
-		}
 		ferr := fmt.Errorf("%w: write: %w", ErrBroken, err)
 		c.fatal(ferr)
 		return ferr
 	}
+	mCliTxBytes.Add(uint64(nw))
 
 	var expired <-chan time.Time
 	if timeout > 0 {
@@ -648,7 +748,7 @@ func (c *Client) Call(method string, params any, result any) error {
 		if !ok {
 			return c.lastErr()
 		}
-		err := decodeResult(in.resp, result)
+		err := decodeResult(in.env, result)
 		releaseFrame(in.fb)
 		return err
 	case <-expired:
@@ -667,7 +767,7 @@ func (c *Client) Call(method string, params any, result any) error {
 		if !ok {
 			return c.lastErr()
 		}
-		err := decodeResult(in.resp, result)
+		err := decodeResult(in.env, result)
 		releaseFrame(in.fb)
 		return err
 	}
@@ -699,12 +799,14 @@ func (c *Client) abandon(id uint64) {
 	}
 }
 
-func decodeResult(resp Response, result any) error {
-	if resp.Error != "" {
-		return &ServerError{Msg: resp.Error}
+// decodeResult turns a response envelope into the Call's outcome, decoding
+// the payload (once) into result.
+func decodeResult(env envelope, result any) error {
+	if env.errMsg != "" {
+		return &ServerError{Msg: env.errMsg}
 	}
-	if result != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, result)
+	if result != nil && len(env.payload) > 0 {
+		return decodePayload(env.payload, result)
 	}
 	return nil
 }

@@ -2,10 +2,14 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -195,10 +199,122 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var sink strings.Builder
-	_, err := writeFrame(&sink, strings.Repeat("y", MaxFrame+16))
-	if !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := appendFrame(nil, 1, "echo", "", strings.Repeat("y", MaxFrame+16)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v", err)
+	}
+	// A call whose params exceed the limit never happens: nothing reaches
+	// the wire, and the client keeps working.
+	addr, _ := newEchoServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Call("echo", rawPayload(make([]byte, MaxFrame)), nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized call: err = %v, want ErrFrameTooLarge", err)
+	}
+	var out echoReply
+	if err := c.Call("echo", echoArgs{N: 1}, &out); err != nil || out.N != 2 {
+		t.Fatalf("client unusable after an oversized call: %v %+v", err, out)
+	}
+}
+
+// hugeResult is a binary-form result one byte larger than a frame may be.
+type hugeResult struct{}
+
+func (hugeResult) AppendBinary(b []byte) ([]byte, error) {
+	return append(b, make([]byte, MaxFrame+1)...), nil
+}
+
+func (*hugeResult) UnmarshalBinary([]byte) error { return nil }
+
+// TestOversizedResultIsServerError: a handler result too large for a frame
+// is answered with an error frame on the same connection. The caller gets a
+// ServerError (never retried) instead of a dead connection (ErrBroken, which
+// retry layers answer by re-running the call), and the connection serves
+// the next call.
+func TestOversizedResultIsServerError(t *testing.T) {
+	addr, srv := newEchoServer(t)
+	srv.Handle("huge", Typed(func(struct{}) (hugeResult, error) { return hugeResult{}, nil }))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = c.Call("huge", struct{}{}, &hugeResult{})
+	var se *ServerError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, ErrFrameTooLarge.Error()) {
+		t.Fatalf("oversized result: err = %v, want a ServerError naming the frame limit", err)
+	}
+	var out echoReply
+	if err := c.Call("echo", echoArgs{N: 1}, &out); err != nil || out.N != 2 {
+		t.Fatalf("connection dead after an oversized result: %v %+v", err, out)
+	}
+}
+
+// pairMsg travels in binary form: value AppendBinary, pointer
+// UnmarshalBinary. Its binary layout differs from its JSON, so a codec
+// mismatch between the ends cannot go unnoticed.
+type pairMsg struct{ A, B uint32 }
+
+func (m pairMsg) AppendBinary(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, m.A), m.B), nil
+}
+
+func (m *pairMsg) UnmarshalBinary(data []byte) error {
+	if len(data) != 8 {
+		return fmt.Errorf("pairMsg: %d bytes", len(data))
+	}
+	m.A, m.B = binary.BigEndian.Uint32(data), binary.BigEndian.Uint32(data[4:])
+	return nil
+}
+
+// halfBinary has AppendBinary but no UnmarshalBinary, so it stays JSON.
+type halfBinary struct{ A uint32 }
+
+func (halfBinary) AppendBinary(b []byte) ([]byte, error) { return append(b, "not json"...), nil }
+
+// TestPayloadCodecByType pins the codec rule: binary form exactly for types
+// with both AppendBinary (value) and UnmarshalBinary (pointer), chosen the
+// same way for params and results, for values and pointers; JSON for the
+// rest.
+func TestPayloadCodecByType(t *testing.T) {
+	if !binaryForm(reflect.TypeOf(pairMsg{})) || !binaryForm(reflect.TypeOf(&pairMsg{})) {
+		t.Error("pairMsg should travel in binary form")
+	}
+	if binaryForm(reflect.TypeOf(halfBinary{})) || binaryForm(reflect.TypeOf(echoArgs{})) {
+		t.Error("types without both binary methods should travel as JSON")
+	}
+	b, err := appendPayload(nil, pairMsg{A: 1, B: 2})
+	if err != nil || !bytes.Equal(b, []byte{0, 0, 0, 1, 0, 0, 0, 2}) {
+		t.Errorf("pairMsg payload = %q, %v", b, err)
+	}
+	if b, err := appendPayload(nil, halfBinary{A: 3}); err != nil || string(b) != `{"A":3}` {
+		t.Errorf("halfBinary payload = %q, %v", b, err)
+	}
+
+	addr, srv := newEchoServer(t)
+	srv.Handle("swap", Typed(func(in pairMsg) (pairMsg, error) { return pairMsg{A: in.B, B: in.A}, nil }))
+	srv.Handle("half", Typed(func(in halfBinary) (halfBinary, error) { return halfBinary{A: in.A + 1}, nil }))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, params := range []any{pairMsg{A: 7, B: 9}, &pairMsg{A: 7, B: 9}} {
+		var out pairMsg
+		if err := c.Call("swap", params, &out); err != nil || out != (pairMsg{A: 9, B: 7}) {
+			t.Errorf("swap(%T) = %+v, %v", params, out, err)
+		}
+	}
+	var half halfBinary
+	if err := c.Call("half", halfBinary{A: 1}, &half); err != nil || half.A != 2 {
+		t.Errorf("half = %+v, %v", half, err)
+	}
+	// A binary payload the receiving type rejects is a bad-params error, not
+	// a transport failure.
+	if err := c.Call("swap", rawPayload("short"), nil); err == nil || !strings.Contains(err.Error(), "bad params") {
+		t.Errorf("short binary params: err = %v", err)
 	}
 }
 
@@ -340,11 +456,15 @@ func TestClientBrokenAfterIDMismatch(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		for {
-			var req Request
-			if err := readFrame(br, &req); err != nil {
+			body, _, err := readPooledFrame(br)
+			if err != nil {
 				return
 			}
-			if _, err := writeFrame(conn, Response{ID: req.ID + 7}); err != nil {
+			req, err := splitEnvelope(body)
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(testFrame(t, req.id+7, "", "", nil)); err != nil {
 				return
 			}
 		}
@@ -360,5 +480,96 @@ func TestClientBrokenAfterIDMismatch(t *testing.T) {
 	}
 	if err := c.Call("echo", echoArgs{}, nil); !errors.Is(err, ErrBroken) {
 		t.Errorf("second call: err = %v, want fast ErrBroken", err)
+	}
+}
+
+// rawReplyServer answers every request frame with reply(request id): a
+// hand-built response stream for desync tests.
+func rawReplyServer(t *testing.T, reply func(id uint64) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for {
+			body, _, err := readPooledFrame(br)
+			if err != nil {
+				return
+			}
+			req, err := splitEnvelope(body)
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(reply(req.id)); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientBrokenOnMalformedEnvelope: a response whose envelope does not
+// fit its frame — a header cut short, a method or error length running
+// past the body — or a request frame arriving where a response belongs is
+// stream desync, so the client breaks exactly as for an undecodable frame.
+func TestClientBrokenOnMalformedEnvelope(t *testing.T) {
+	id := func(id uint64) []byte { return binary.BigEndian.AppendUint64(nil, id) }
+	cases := map[string]func(uint64) []byte{
+		"short header": func(n uint64) []byte { return lengthPrefixed(append(id(n), 0, 0, 0)) },
+		"method past body": func(n uint64) []byte {
+			return lengthPrefixed(append(id(n), 0, 9, 'x', 0, 0, 0, 0))
+		},
+		"error past body": func(n uint64) []byte {
+			return lengthPrefixed(append(id(n), 0, 0, 0, 0, 0, 9, 'e'))
+		},
+		"request as response": func(n uint64) []byte { return testFrame(t, n, "echo", "", nil) },
+	}
+	for name, reply := range cases {
+		t.Run(name, func(t *testing.T) {
+			c, err := Dial(rawReplyServer(t, reply))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Call("echo", echoArgs{}, nil); !errors.Is(err, ErrBroken) {
+				t.Fatalf("err = %v, want ErrBroken", err)
+			}
+			if err := c.Call("echo", echoArgs{}, nil); !errors.Is(err, ErrBroken) {
+				t.Errorf("second call: err = %v, want fast ErrBroken", err)
+			}
+		})
+	}
+}
+
+// TestServerDropsMalformedEnvelope: a request frame whose envelope does
+// not fit it, or that carries an error text, makes the server drop the
+// connection — it answers nothing it cannot attribute.
+func TestServerDropsMalformedEnvelope(t *testing.T) {
+	addr, _ := newEchoServer(t)
+	for name, frame := range map[string][]byte{
+		"short header":        lengthPrefixed([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0}),
+		"method past body":    lengthPrefixed([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 'e', 0, 0, 0, 0}),
+		"response as request": testFrame(t, 1, "", "boom", nil),
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 64)); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: read %d bytes, err %v; want the server to close the connection", name, n, err)
+		}
+		conn.Close()
 	}
 }
